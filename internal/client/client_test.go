@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -346,5 +347,64 @@ func TestEventsUnknownJobFailsFast(t *testing.T) {
 	}
 	if len(*slept) != 0 {
 		t.Fatalf("client slept %v before failing fast on 404", *slept)
+	}
+}
+
+// TestWaitResultFollowsEvents: WaitResult on a job that has not started
+// yet waits on the event stream, not on a timer — any Sleep call fails
+// the test — and returns the completed document. The node's workers
+// start only once the stream is open, so the job is still pending when
+// WaitResult is called.
+func TestWaitResultFollowsEvents(t *testing.T) {
+	leakcheck.Check(t)
+	s, err := server.New(server.Config{
+		Workers:         1,
+		CellParallelism: 2,
+		QueueCapacity:   4,
+		PerCategory:     1,
+		DrainGrace:      2 * time.Second,
+		Logf:            t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	var start sync.Once
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			start.Do(s.Start)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		start.Do(s.Start)
+		s.Drain()
+		ts.Close()
+	})
+
+	cl := newTestClient(t, ts.URL, func(c *Config) {
+		c.Sleep = func(_ context.Context, d time.Duration) error {
+			t.Errorf("WaitResult slept %v", d)
+			return errors.New("unexpected sleep")
+		}
+	})
+	ctx := context.Background()
+	sub, err := cl.Submit(ctx, testJob())
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if sub.State != server.StateQueued {
+		t.Fatalf("job state %q at submit, want queued", sub.State)
+	}
+	doc, raw, err := cl.WaitResult(ctx, sub.ID)
+	if err != nil {
+		t.Fatalf("wait result: %v", err)
+	}
+	if doc.State != server.StateCompleted || doc.Cells.Done != doc.Cells.Total {
+		t.Fatalf("result %s with %d/%d cells, want completed", doc.State, doc.Cells.Done, doc.Cells.Total)
+	}
+	_, again, done, err := cl.Result(ctx, sub.ID)
+	if err != nil || !done || string(again) != string(raw) {
+		t.Fatalf("result refetch: done=%v err=%v, bytes equal=%v", done, err, string(again) == string(raw))
 	}
 }

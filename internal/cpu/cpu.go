@@ -170,20 +170,14 @@ const (
 	stateDone
 )
 
-// ErrMachineUsed reports an attempt to run or fork a Machine whose run
+// ErrMachineUsed reports an attempt to run a Machine whose run
 // already completed (or was canceled partway). Build a new Machine
-// with New, or Fork a warm one.
+// with New.
 var ErrMachineUsed = errors.New("cpu: machine already consumed by a previous run")
 
-// ErrNotWarmed reports a measurement or Fork on a machine that has not
+// ErrNotWarmed reports a measurement on a machine that has not
 // completed a warmup window.
 var ErrNotWarmed = errors.New("cpu: machine has no completed warmup window")
-
-// ErrNotForkable reports a Fork of a machine whose configuration pins
-// state Fork cannot deep-copy: an external L1I listener or branch
-// hook, or a prefetcher that does not implement prefetch.Forkable.
-// Such configurations simply stay on the sequential warmup path.
-var ErrNotForkable = errors.New("cpu: machine configuration does not support forking")
 
 // Machine is an assembled simulator instance. Build one per run.
 type Machine struct {
@@ -298,15 +292,6 @@ func (m *Machine) Prefetcher() prefetch.Prefetcher { return m.pf }
 // quantiles in Results cover the measurement window only.
 func (m *Machine) LeadHistogram() *stats.Histogram { return m.tracker.LeadHistogram() }
 
-// Consumed returns how many instructions the machine has consumed from
-// its source — the trace-position handle a forked machine's caller
-// uses to advance a fresh SliceSource to the shared warmup boundary.
-func (m *Machine) Consumed() uint64 { return m.instrIdx }
-
-// Warmed reports whether the machine holds a completed warmup window
-// and may be forked or measured.
-func (m *Machine) Warmed() bool { return m.state == stateWarm }
-
 // fetchLine maps an instruction byte address to the line address the
 // hierarchy operates on.
 func (m *Machine) fetchLine(pc uint64) uint64 {
@@ -389,9 +374,8 @@ func (m *Machine) RunWindows(src trace.Source, warmup, measure uint64) Results {
 // context.Background() has a nil Done channel, so the uncancellable
 // path stays on the allocation-free fast loop with no select.
 //
-// It is exactly WarmupCtx followed by MeasureCtx — the same two halves
-// the warmup-snapshot fork path runs on different machines — so the
-// sequential and forked paths cannot drift apart.
+// It is exactly WarmupCtx followed by MeasureCtx, so a caller that
+// times or drives the two windows separately gets the same results.
 func (m *Machine) RunWindowsCtx(ctx context.Context, src trace.Source, warmup, measure uint64) (Results, error) {
 	if err := m.WarmupCtx(ctx, src, warmup); err != nil {
 		return Results{}, err
@@ -400,9 +384,9 @@ func (m *Machine) RunWindowsCtx(ctx context.Context, src trace.Source, warmup, m
 }
 
 // WarmupCtx consumes the warmup window, moving the machine from idle
-// to warm. A warm machine can be forked (Fork) and measured
-// (MeasureCtx). A canceled warmup leaves the machine consumed (done):
-// its partial state must never masquerade as a fresh warmup.
+// to warm. A warm machine can be measured (MeasureCtx). A canceled
+// warmup leaves the machine consumed (done): its partial state must
+// never masquerade as a fresh warmup.
 func (m *Machine) WarmupCtx(ctx context.Context, src trace.Source, warmup uint64) error {
 	if m.state != stateIdle {
 		return ErrMachineUsed
@@ -416,9 +400,8 @@ func (m *Machine) WarmupCtx(ctx context.Context, src trace.Source, warmup uint64
 }
 
 // MeasureCtx runs the measurement window on a warm machine and returns
-// windowed results, moving it warm -> done. src must be positioned at
-// the machine's consumption point (Consumed()) — for a forked machine,
-// a fresh SliceSource over the shared trace advanced to that handle.
+// windowed results, moving it warm -> done. src must be the source
+// the warmup window consumed, positioned where the warmup stopped.
 func (m *Machine) MeasureCtx(ctx context.Context, src trace.Source, measure uint64) (Results, error) {
 	switch m.state {
 	case stateIdle:

@@ -173,7 +173,7 @@ func TestMispredictPenaltyCosts(t *testing.T) {
 func TestRunWindowsEqualsManualDelta(t *testing.T) {
 	// RunWindows(w, m) must equal the delta between full runs of w and
 	// w+m instructions. A machine is single-use now (a second Run
-	// panics — see TestMachineSingleUse in fork_test.go), so each run
+	// panics — see TestMachineSingleUse in windows_test.go), so each run
 	// gets its own machine over the same deterministic stream; the two
 	// prefixes replay identically, making the delta exact.
 	p := loopSource(0x1000, 30, 10_000)

@@ -168,8 +168,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"tenant %q is not allowed to submit fault plans", st.t.Name)
 		return
 	}
-	approx := approxPolicy{enabled: s.predictor != nil, defaultMaxRelErr: s.cfg.MaxRelErr}
-	spec, err := s.reg.resolve(req, s.cfg.Budget, s.cfg.MaxCells, s.cfg.AllowFaults, approx, s.resolveTraceWorkload)
+	spec, err := s.reg.resolve(req, s.cfg.Budget, s.cfg.MaxCells, s.cfg.AllowFaults, s.resolveTraceWorkload)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -401,15 +400,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("entangling_auth_forbidden_total", "Requests rejected 403 (disallowed action).", ld(&c.authForbidden))
 	counter("entangling_quota_rejected_total", "Submissions rejected 429 by a tenant quota.", ld(&c.quotaRejected))
 
-	counter("entangling_predictions_served_total", "Approximate-mode cells answered by the model.", ld(&c.predictionsServed))
-	counter("entangling_predictions_fallback_total", "Approximate-mode cells that fell back to exact simulation.", ld(&c.predictionsFallback))
-	counter("entangling_predictions_refined_total", "Predicted cells later refined by an exact result.", ld(&c.predictionsRefined))
-	counter("entangling_predictions_within_interval_total", "Refinements where the exact value fell inside the stated interval.", ld(&c.predictionsWithin))
-	counter("entangling_predictions_outside_interval_total", "Refinements where the exact value fell outside the stated interval.", ld(&c.predictionsOutside))
-	if s.predictor != nil {
-		gauge("entangling_model_examples", "Cells the approximate model has trained on.", s.predictor.Len())
-	}
-
 	builds, hits, resident := s.traces.CacheStats()
 	counter("entangling_trace_builds_total", "Workload trace materializations performed.", builds)
 	counter("entangling_trace_hits_total", "Workload trace cache hits.", hits)
@@ -446,17 +436,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, m := range snaps {
 			fmt.Fprintf(&sb, "entangling_tenant_jobs_completed_total{tenant=%q} %d\n", m.Name, m.JobsCompleted)
 		}
-		labeled("entangling_tenant_cells_charged_total", "Cells charged against the tenant's rate quota at full price.", "counter")
+		labeled("entangling_tenant_cells_charged_total", "Cells charged against the tenant's rate quota.", "counter")
 		for _, m := range snaps {
 			fmt.Fprintf(&sb, "entangling_tenant_cells_charged_total{tenant=%q} %d\n", m.Name, m.CellsCharged)
-		}
-		labeled("entangling_tenant_approx_cells_charged_total", "Cells admitted at the reduced approximate-mode rate (0.1 tokens each).", "counter")
-		for _, m := range snaps {
-			fmt.Fprintf(&sb, "entangling_tenant_approx_cells_charged_total{tenant=%q} %d\n", m.Name, m.ApproxCellsCharged)
-		}
-		labeled("entangling_tenant_fallback_cells_charged_total", "Approximate cells that simulated exactly and paid the remaining 0.9 tokens.", "counter")
-		for _, m := range snaps {
-			fmt.Fprintf(&sb, "entangling_tenant_fallback_cells_charged_total{tenant=%q} %d\n", m.Name, m.FallbackCellsCharged)
 		}
 		labeled("entangling_tenant_traces_uploaded_total", "Traces the tenant ingested.", "counter")
 		for _, m := range snaps {

@@ -702,6 +702,8 @@ func TestServerRequestValidation(t *testing.T) {
 		{"too many cells", mustJSON(JobRequest{Configurations: []string{"no", "nextline", "ideal"}, Workloads: []string{"crypto-00", "int-00"}, Measure: testMeasure}), 400},
 		{"unknown field", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000,"surprise":1}`), 400},
 		{"trailing data", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000}{}`), 400},
+		{"retired mode field", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000,"mode":"exact"}`), 400},
+		{"retired max_rel_err field", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000,"max_rel_err":0.25}`), 400},
 		{"fault plan disabled", mustJSON(JobRequest{Configurations: good.Configurations, Workloads: good.Workloads, Measure: testMeasure,
 			FaultPlan: &faultinject.Plan{Seed: 1, CellErrorProb: 1}}), 400},
 		{"not json", []byte("entangle me"), 400},

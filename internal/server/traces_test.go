@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -216,6 +217,26 @@ func TestTraceEndpointsWithoutStore(t *testing.T) {
 	status, body := postJob(t, ts, req)
 	if status != http.StatusBadRequest {
 		t.Errorf("trace job without store: status %d (%s)", status, body)
+	}
+}
+
+// TestTraceUploadWithDispatcher: a server with an external Dispatcher
+// (coordinator mode) leaves cell storage to the dispatcher but still
+// derives its trace directory from CheckpointDir, so an upload is
+// accepted and lands under <checkpoint-dir>/traces.
+func TestTraceUploadWithDispatcher(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.CheckpointDir = dir
+	cfg.Dispatcher = NewLocalDispatcher(LocalConfig{})
+	_, ts := startTestServer(t, cfg)
+
+	status, doc := uploadTrace(t, ts, encodeWalkerTrace(t, 1_000), "")
+	if status != http.StatusCreated {
+		t.Fatalf("upload through a dispatcher-backed server: status %d, want 201", status)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "traces", doc.ID+".trace")); err != nil {
+		t.Fatalf("uploaded trace not under <checkpoint-dir>/traces: %v", err)
 	}
 }
 

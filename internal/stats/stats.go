@@ -229,9 +229,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Clone returns an independent deep copy of h. Forked simulations
-// snapshot histograms with Clone so the fork and the original can keep
-// counting without sharing bucket storage.
+// Clone returns an independent deep copy of h. A windowed measurement
+// snapshots the live histogram with Clone at window start, so later
+// counts land in the original only and Sub can extract the window.
 func (h *Histogram) Clone() *Histogram {
 	c := *h
 	c.Buckets = append([]uint64(nil), h.Buckets...)
